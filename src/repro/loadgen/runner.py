@@ -23,9 +23,11 @@ Every scheduled request ends in exactly one
 :class:`RequestOutcome` — ``completed``/``failed``/``shed`` from the
 service, or ``rejected`` when admission turned it away terminally.
 
-Latency is measured from the *scheduled* arrival instant, not the
-submit instant, so client-side stalls cannot hide service queueing
-delay (no coordinated omission).
+In an open loop, latency is measured from the *scheduled* arrival
+instant, not the submit instant, so client-side stalls cannot hide
+service queueing delay (no coordinated omission).  A closed loop issues
+each request when a client slot frees up, ahead of or behind the
+schedule, so its latency runs from the first submit instead.
 """
 
 from __future__ import annotations
@@ -160,12 +162,17 @@ class RequestOutcome:
     attempts: int = 1
     tier: int = 0
     degraded: bool = False
+    closed_loop: bool = False
 
     @property
     def latency_s(self) -> "float | None":
-        """Schedule-to-terminal latency of a completed request."""
+        """Latency of a completed request: from its scheduled arrival in
+        an open loop, from its submit (``submitted_at``, the first
+        attempt's) in a closed loop."""
         if self.status != "completed" or self.finished_at is None:
             return None
+        if self.closed_loop and self.submitted_at is not None:
+            return self.finished_at - self.submitted_at
         return self.finished_at - self.scheduled_at
 
     def to_dict(self) -> dict:
@@ -181,6 +188,7 @@ class RequestOutcome:
             "attempts": self.attempts,
             "tier": self.tier,
             "degraded": self.degraded,
+            "closed_loop": self.closed_loop,
             "latency_s": self.latency_s,
         }
 
@@ -192,10 +200,15 @@ class InProcessTransport:
     terminal; retriable admission rejections come back as a
     ``status="rejected"`` record instead of an exception, so the runner
     treats both transports identically.
+
+    A service delivers each result once.  Without an ``on_result``
+    callback that is to ``service.result``; a service with one needs
+    ``await_result(request_id)``, which waits for the callback's copy.
     """
 
-    def __init__(self, service):
+    def __init__(self, service, *, await_result=None):
         self.service = service
+        self._await = service.result if await_result is None else await_result
 
     def execute(self, req: ScenarioRequest) -> dict:
         """Submit and block until terminal; rejections become records."""
@@ -207,7 +220,7 @@ class InProcessTransport:
                 "retriable": exc.retriable,
                 "error": f"{exc.code}: {exc}",
             }
-        r = self.service.result(req.id)
+        r = self._await(req.id)
         return {
             "status": r.status,
             "error": r.error,
@@ -389,7 +402,8 @@ def run_schedule(
         while attempt < cfg.max_attempts:
             attempt += 1
             req = item.request if attempt == 1 else _retry_request(item, attempt)
-            submitted_at = clock() - t0
+            if submitted_at is None:
+                submitted_at = clock() - t0
             rec = transport.execute(req)
             if rec["status"] in ("rejected", "shed") and rec.get("retriable"):
                 if attempt < cfg.max_attempts and budget.try_spend():
@@ -414,6 +428,7 @@ def run_schedule(
             attempts=attempt,
             tier=int(rec.get("tier", 0)),
             degraded=bool(rec.get("degraded", False)),
+            closed_loop=cfg.mode == "closed",
         )
 
     if cfg.mode == "closed":

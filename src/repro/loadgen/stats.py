@@ -122,13 +122,12 @@ def summarize(
     finish_times = [
         o.finished_at for o in completed if o.finished_at is not None
     ]
-    # Rates are measured over the *observed* window: completions can
-    # land after the schedule horizon (the drain tail), and dividing by
-    # the nominal duration would overstate throughput for runs with a
-    # long tail.  Both sides of a comparison get the same treatment.
-    window_s = duration_s
-    if finish_times:
-        window_s = max(window_s, max(finish_times))
+    # Rates are measured over the *observed* window, from the run's
+    # start to its last completion, never the nominal duration: a drain
+    # tail past the schedule horizon would be overstated by it, and a
+    # closed loop that finishes early understated.  Both sides of a
+    # comparison get the same treatment.
+    window_s = max(finish_times) if finish_times else duration_s
     goodput = len(completed) / window_s if window_s > 0 else float("nan")
     glo, ghi = _rate_ci(
         finish_times, window_s, n_boot=n_boot, seed=seed

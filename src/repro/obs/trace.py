@@ -124,6 +124,14 @@ class NullTracer:
         """Discard the span."""
         return None
 
+    def start(self, name: str, *, cat: str = "", **attrs: Any) -> _NullSpan:
+        """Hand out the shared inert span."""
+        return _NULL_SPAN
+
+    def end(self, span) -> None:
+        """Nothing to close."""
+        return None
+
     def current(self) -> None:
         """There is never an open span."""
         return None
@@ -228,6 +236,23 @@ class Tracer:
         if self._attach(span) is None:
             return _NULL_SPAN
         return _OpenSpan(self, span)
+
+    def start(self, name: str, *, cat: str = "", **attrs: Any) -> "Span | _NullSpan":
+        """Open a wall-clock span *off* the nesting stack; close it with
+        :meth:`end`.
+
+        For work that suspends while unrelated spans open and close — a
+        generator holding a span across ``yield`` — which the stack
+        discipline of :meth:`span` forbids.  The span nests under the
+        innermost span open now, and parents nothing itself.
+        """
+        span = Span(name=name, domain=WALL, t0=self._now(), cat=cat, attrs=dict(attrs))
+        return _NULL_SPAN if self._attach(span) is None else span
+
+    def end(self, span: "Span | _NullSpan") -> None:
+        """Close a span opened by :meth:`start`."""
+        if isinstance(span, Span):
+            span.t1 = self._now()
 
     def record(
         self,

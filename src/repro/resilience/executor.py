@@ -888,8 +888,10 @@ def _resilient_execution(
     rnd = 0
     jitter_rng = _jitter_stream(policy, specs)
     while True:
-        rspan_cm = tracer.span("transfer-round", cat="resilience", round=rnd)
-        with rspan_cm as rspan:
+        # Opened off the tracer's stack: the span stays open across the
+        # yield, while a batched run advances other scenarios' rounds.
+        rspan = tracer.start("transfer-round", cat="resilience", round=rnd)
+        try:
             prog = FlowProgram(
                 comm,
                 batch_tol=batch_tol,
@@ -927,6 +929,11 @@ def _resilient_execution(
                 t_start=T,
                 round_end=T + round_end,
             )
+        except BaseException as exc:
+            rspan.set(error=type(exc).__name__)
+            raise
+        finally:
+            tracer.end(rspan)
         if tracer.enabled:
             tracer.record(
                 f"round{rnd}",

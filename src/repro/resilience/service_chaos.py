@@ -72,6 +72,7 @@ from repro.service.request import (
     COMPLETED,
     FAILED,
     ScenarioRequest,
+    ScenarioResult,
     canonical_json,
     payload_checksum,
 )
@@ -441,34 +442,33 @@ def run_service_campaign(
     counters_before = dict(reg.snapshot()["counters"])
     journal_lock = threading.Lock()
     live_records: "list[dict]" = []
-    record_by_id: "dict[str, dict]" = {}
-    record_landed = threading.Condition(journal_lock)
+    result_by_id: "dict[str, ScenarioResult]" = {}
+    result_landed = threading.Condition(journal_lock)
     completed_n = [0]
 
     def on_result(result) -> None:
+        # The service's one delivery of each result: journal it, and
+        # keep it for await_result (the load clients and the drain).
         record = result.record()
-        with record_landed:
+        with result_landed:
             journal.append(record)
             live_records.append(record)
-            record_by_id[record["id"]] = record
+            result_by_id[result.id] = result
             if record["status"] == COMPLETED:
                 completed_n[0] += 1
-            record_landed.notify_all()
+            result_landed.notify_all()
 
-    def await_record(rid: str, timeout_s: float = 30.0) -> dict:
-        # on_result fires *after* the per-request done event, so a
-        # result() return does not imply the journal append happened
-        # yet — wait for the callback explicitly.
+    def await_result(rid: str, timeout_s: float = 240.0) -> ScenarioResult:
         deadline = time.monotonic() + timeout_s
-        with record_landed:
-            while rid not in record_by_id:
+        with result_landed:
+            while rid not in result_by_id:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(
                         f"result {rid} never reached the journal sink"
                     )
-                record_landed.wait(remaining)
-            return record_by_id[rid]
+                result_landed.wait(remaining)
+            return result_by_id[rid]
 
     svc_config = ServiceConfig(
         workers=config.workers,
@@ -506,7 +506,8 @@ def run_service_campaign(
                         mix=schedule.mix,
                         seed=schedule.seed,
                     )
-                    report = run_schedule(sub, InProcessTransport(svc), load_cfg)
+                    transport = InProcessTransport(svc, await_result=await_result)
+                    report = run_schedule(sub, transport, load_cfg)
             finally:
                 sampler.stop()
 
@@ -515,14 +516,8 @@ def run_service_campaign(
             # Settle first: every *admitted* request must have reached
             # the journal sink, or the drain could re-run a request
             # whose completion is still in flight (a real duplicate).
+            # wait_all returns only after each on_result has returned.
             svc.wait_all(timeout=240.0)
-            settle_deadline = time.monotonic() + 30.0
-            while time.monotonic() < settle_deadline:
-                with record_landed:
-                    landed = len(record_by_id)
-                if landed >= int(svc.stats().get("admitted", 0)):
-                    break
-                time.sleep(0.01)
             finals: "dict[str, dict]" = dict(done)
             with journal_lock:
                 snapshot = list(live_records)
@@ -574,8 +569,7 @@ def run_service_campaign(
                         svc.submit(req, block=True, timeout=120.0)
                         batch.append(req)
                     for req in batch:
-                        svc.result(req.id, timeout=240.0)
-                        record = await_record(req.id)
+                        record = await_result(req.id).record()
                         base = _base_id(req.id)
                         if _trusted(
                             record,

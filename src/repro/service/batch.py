@@ -139,15 +139,19 @@ def make_demo_campaign(
 
 
 class _JournalSink:
-    """Thread-safe journal appender used as the service's on_result."""
+    """Thread-safe journal appender used as the service's on_result;
+    keeps each journaled record, by request id, for the results file."""
 
     def __init__(self, journal: Journal):
         self._journal = journal
         self._lock = threading.Lock()
+        self.records: "dict[str, dict]" = {}
 
     def __call__(self, result) -> None:
+        record = result.record()
         with self._lock:
-            self._journal.append(result.record())
+            self._journal.append(record)
+            self.records[result.id] = record
 
 
 def _verified(record: Mapping[str, Any]) -> bool:
@@ -253,6 +257,7 @@ def run_batch(
             f"{len(done)} journaled, {len(todo)} to run"
         )
     merged: "dict[str, dict]" = dict(done)
+    sink = _JournalSink(journal)
     try:
         fast: "list[ScenarioRequest]" = []
         if batched:
@@ -279,7 +284,6 @@ def run_batch(
         if fast:
             from repro.service.scenarios import run_transfer_kinds_batched
 
-            sink = _JournalSink(journal)
             try:
                 payloads = run_transfer_kinds_batched(
                     [(r.kind, r.params) for r in fast]
@@ -298,23 +302,20 @@ def run_batch(
                     "%d scenario(s) fall back to serial",
                     type(exc).__name__, exc, len(fast),
                 )
-                fast = []
             else:
                 get_registry().counter("service.batch.fast_path").inc(len(fast))
                 for req, payload in zip(fast, payloads):
-                    result = ScenarioResult(
+                    sink(ScenarioResult(
                         id=req.id, kind=req.kind, status=COMPLETED,
                         payload=payload,
-                    )
-                    sink(result)
-                    merged[req.id] = result.record()
-        serial = [r for r in todo if r.id not in merged]
+                    ))
+        serial = [r for r in todo if r.id not in sink.records]
         if serial:
-            with ScenarioService(config, on_result=_JournalSink(journal)) as svc:
+            with ScenarioService(config, on_result=sink) as svc:
                 for req in serial:
                     svc.submit(req, block=True)
-                for req in serial:
-                    merged[req.id] = svc.result(req.id).record()
+                svc.wait_all()
+        merged.update(sink.records)
     finally:
         journal.close()
     results = [merged[r.id] for r in sorted(requests, key=lambda r: r.id)]

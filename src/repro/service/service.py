@@ -14,16 +14,25 @@ bookkeeping has no cross-thread races to reason about):
   (:class:`QueueFullError` — that rejection *is* the load shedding) or
   the simulator's circuit breaker is open (:class:`CircuitOpenError`).
   ``block=True`` turns rejection into backpressure for batch drivers.
-* supervisor thread — drains per-worker result queues, detects crashed
+* supervisor thread — drains per-worker result pipes, detects crashed
   workers (restart; re-queue the victim request until
   ``max_attempts``, then quarantine it as **poison**), hard-kills
-  workers that blow past their deadline or hang limit, and dispatches
+  workers that blow past their deadline or hang limit, dispatches
   queued requests to free workers (shedding any whose deadline already
-  expired while queued).
+  expired while queued), and delivers terminal results.  It never
+  polls: each pass ends in one wait on every worker's result pipe and
+  process sentinel plus a wake-up pipe that ``submit``/``close`` write
+  to, bounded by the nearest timer (a busy worker's kill deadline, or
+  the next adaptive-control sample).
 * workers — see :mod:`repro.service.worker`.  One request in flight
-  per worker over private queues, so a killed worker can never corrupt
-  a queue another worker is using, and the parent always knows which
+  per worker over a private pipe, so a killed worker can never corrupt
+  a pipe another worker is using, and the parent always knows which
   request died with it.
+
+Every terminal result is delivered exactly once — to ``on_result``
+when the service has one, otherwise to the first :meth:`result` call —
+after which the service forgets the request, so its state is
+O(outstanding requests), not O(requests ever admitted).
 
 Two circuit breakers (:mod:`repro.service.breaker`) watch the planner
 and simulator stages.  A tripped planner breaker — or a remaining
@@ -58,10 +67,12 @@ states) and spans (``service.admit`` / ``service.dispatch``).
 from __future__ import annotations
 
 import multiprocessing as mp
+import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_any
 from typing import Callable, Optional
 
 from repro.obs.metrics import get_registry
@@ -116,7 +127,8 @@ class ServiceConfig:
             :class:`repro.service.breaker.CircuitBreaker`.
         plan_cost_safety: degrade when remaining deadline is below
             ``plan_cost_safety ×`` the planning-cost EWMA.
-        poll_interval_s: supervisor wake-up period.
+        poll_interval_s: adaptive-control sampling period (the
+            supervisor itself wakes on events, not on this period).
         admission: ``"static"`` (PR 5 behaviour: the bounded queue is
             the only admission bound) or ``"adaptive"`` (AIMD
             concurrency limiter + pressure degradation ladder; the
@@ -177,41 +189,31 @@ class _Tracked:
     admitted_at: float = 0.0
     dispatched_at: "float | None" = None  # last dispatch (None = never ran)
     attempts: int = 0
-    done: threading.Event = field(default_factory=threading.Event)
+    result: "ScenarioResult | None" = None  # set once, when terminal
+    done: threading.Event = field(default_factory=threading.Event)  # delivered
 
 
 class _Worker:
-    """One worker slot: process + its private dispatch/result queues."""
+    """One worker slot: process + the parent's end of its private pipe."""
 
-    __slots__ = (
-        "wid", "proc", "req_q", "res_q", "busy", "dispatched_at", "degraded", "tier"
-    )
+    __slots__ = ("wid", "proc", "conn", "busy", "dispatched_at", "degraded", "tier")
 
     def __init__(self, wid: int, ctx):
         self.wid = wid
-        self.req_q = ctx.Queue()
-        self.res_q = ctx.Queue()
+        self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=worker_main,
-            args=(wid, self.req_q, self.res_q),
+            args=(wid, child),
             name=f"repro-worker-{wid}",
             daemon=True,
         )
         self.proc.start()
+        # Only the worker holds its end now, so its death reads as EOF.
+        child.close()
         self.busy: "Optional[_Tracked]" = None
         self.dispatched_at = 0.0
         self.degraded = False
         self.tier = TIER_FULL
-
-    def discard_queues(self) -> None:
-        """Detach queue feeder threads so parent exit never blocks on a
-        queue whose consumer was hard-killed."""
-        for q in (self.req_q, self.res_q):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):
-                pass
 
 
 class ScenarioService:
@@ -236,12 +238,19 @@ class ScenarioService:
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)  # queue_cap backpressure
         self._pending: "deque[_Tracked]" = deque()
-        self._tracked: "dict[str, _Tracked]" = {}
-        self._results: "dict[str, ScenarioResult]" = {}
+        self._tracked: "dict[str, _Tracked]" = {}  # admitted, not yet delivered
+        self._outbox: "list[_Tracked]" = []  # terminal, awaiting delivery
+        self._counts = {"admitted": 0, COMPLETED: 0, FAILED: 0, SHED: 0}
         self._plan_cost_est: "dict[str, float]" = {}
         self._closing = False
         self._stop = False
         self._shed_times: "deque[float]" = deque()  # sliding shed-rate window
+        # Did the last heartbeat publish an idle service?  Then its
+        # gauges stay true until an event, and no heartbeat is due.
+        self._quiet = False
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self.limiter: "AdaptiveLimiter | None" = None
         self.ladder: "DegradationLadder | None" = None
         if self.config.admission == "adaptive":
@@ -319,10 +328,10 @@ class ScenarioService:
                         )
                         if remaining is not None and remaining <= 0:
                             self._raise_shed_locked(req, blocked, timeout=timeout)
-                        # Adaptive admission loosens on the supervisor
-                        # tick (ladder de-escalation, limiter growth),
-                        # not only on notified queue/terminal events —
-                        # bound the wait by the tick period so a
+                        # Adaptive admission loosens on the sampling
+                        # heartbeat (ladder de-escalation, limiter
+                        # growth), not only on notified queue/terminal
+                        # events — bound the wait by its period so a
                         # blocked submitter re-checks instead of
                         # sleeping forever on a notify that never comes.
                         wait_s = self.config.poll_interval_s
@@ -343,8 +352,10 @@ class ScenarioService:
                 )
                 self._tracked[req.id] = t
                 self._pending.append(t)
+                self._counts["admitted"] += 1
                 get_registry().counter("service.admitted").inc()
                 self._set_depth_locked()
+        self._wake()
         return req.id
 
     def _inflight_locked(self) -> int:
@@ -391,20 +402,33 @@ class ScenarioService:
     def result(self, request_id: str, timeout: "float | None" = None) -> ScenarioResult:
         """Block until ``request_id`` is terminal and return its result.
 
-        Raises :class:`UnknownRequestError` for ids never admitted and
-        ``TimeoutError`` if the wait expires.
+        This is the delivery channel of a service without ``on_result``:
+        the first call that returns a request's result takes it, and
+        the service then forgets the request.
+
+        Raises :class:`UnknownRequestError` for ids never admitted or
+        already delivered, ``TimeoutError`` if the wait expires, and
+        ``ConfigError`` on a service that delivers to ``on_result``.
         """
+        if self._on_result is not None:
+            raise ConfigError("this service delivers results to its on_result callback")
         with self._lock:
             t = self._tracked.get(request_id)
         if t is None:
-            raise UnknownRequestError(f"no such request: {request_id!r}")
+            raise UnknownRequestError(
+                f"no such request: {request_id!r} (never admitted, or already delivered)"
+            )
         if not t.done.wait(timeout=timeout):
             raise TimeoutError(f"request {request_id!r} not terminal after {timeout}s")
         with self._lock:
-            return self._results[request_id]
+            if self._tracked.get(request_id) is not t:
+                raise UnknownRequestError(f"result of {request_id!r} already delivered")
+            del self._tracked[request_id]
+        return t.result
 
     def wait_all(self, timeout: "float | None" = None) -> bool:
-        """Wait until every admitted request is terminal."""
+        """Wait until every admitted request is terminal (and, with
+        ``on_result``, its callback has returned)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             tracked = list(self._tracked.values())
@@ -419,14 +443,13 @@ class ScenarioService:
     def stats(self) -> dict:
         """Snapshot of service health (also exported as metrics)."""
         with self._lock:
-            statuses = [r.status for r in self._results.values()]
             out = {
                 "queue_depth": len(self._pending),
                 "inflight": self._inflight_locked(),
-                "admitted": len(self._tracked),
-                "completed": statuses.count(COMPLETED),
-                "failed": statuses.count(FAILED),
-                "shed": statuses.count(SHED),
+                "admitted": self._counts["admitted"],
+                "completed": self._counts[COMPLETED],
+                "failed": self._counts[FAILED],
+                "shed": self._counts[SHED],
                 "planner_breaker": self.planner_breaker.state,
                 "simulator_breaker": self.simulator_breaker.state,
                 "plan_cost_est_s": dict(self._plan_cost_est),
@@ -472,18 +495,23 @@ class ScenarioService:
                         w, FAILED, "service-closed: hard-killed at shutdown"
                     )
             self._stop = True
+        self._wake()
         self._supervisor.join(timeout=10.0)
+        self._deliver()  # what close() itself finished
         for w in self._workers:
             try:
-                w.req_q.put_nowait(None)
-            except (OSError, ValueError):
+                w.conn.send(None)
+            except OSError:
                 pass
         for w in self._workers:
             w.proc.join(timeout=2.0)
             if w.proc.is_alive():
                 w.proc.kill()
                 w.proc.join(timeout=2.0)
-            w.discard_queues()
+            w.conn.close()
+        if not self._supervisor.is_alive():
+            self._wake_r.close()
+            self._wake_w.close()
 
     def __enter__(self) -> "ScenarioService":
         return self
@@ -494,26 +522,94 @@ class ScenarioService:
     # -- supervisor ----------------------------------------------------------
 
     def _supervise(self) -> None:
-        while True:
-            with self._lock:
-                if self._stop:
-                    return
+        next_sample = time.monotonic()
+        while not self._stop:
             try:
+                self._drain_wakeups()
                 self._drain_results()
                 self._check_workers()
                 self._dispatch()
-                self._observe_pressure()
+                if time.monotonic() >= next_sample:
+                    self._observe_pressure()
+                    next_sample = time.monotonic() + self.config.poll_interval_s
+                self._deliver()
+                self._wait_for_event(self._next_timeout(next_sample))
             except Exception:  # pragma: no cover - supervisor must survive
                 get_registry().counter("service.supervisor_errors").inc()
-            time.sleep(self.config.poll_interval_s)
+                time.sleep(self.config.poll_interval_s)
+
+    def _wake(self) -> None:
+        """Make the supervisor run a pass now (one byte on its pipe)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # pipe full (a wake-up is already pending) or closed
+
+    def _drain_wakeups(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass  # drained (BlockingIOError) or closed
+
+    def _next_timeout(self, next_sample: float) -> "float | None":
+        """Seconds until the nearest timer; ``None`` when none is due.
+
+        Timers: each busy worker's watchdog kill (deadline plus
+        ``kill_grace_s``, or its hang limit) and the next heartbeat,
+        which counts in adaptive mode (the ladder samples on it) or
+        while the published gauges still show a busy service.
+        """
+        cfg = self.config
+        due = []
+        with self._lock:
+            for w in self._workers:
+                t = w.busy
+                if t is None:
+                    continue
+                if t.deadline_at is not None:
+                    due.append(t.deadline_at + cfg.kill_grace_s)
+                elif cfg.hang_timeout_s is not None:
+                    due.append(w.dispatched_at + cfg.hang_timeout_s)
+        if self.ladder is not None or not self._quiet:
+            due.append(next_sample)
+        if not due:
+            return None
+        return max(0.0, min(due) - time.monotonic())
+
+    def _wait_for_event(self, timeout: "float | None") -> None:
+        """Block until a result, a worker exit or a wake-up arrives, or
+        ``timeout`` seconds pass."""
+        sources: list = [self._wake_r]
+        for w in self._workers:
+            sources += (w.conn, w.proc.sentinel)
+        wait_any(sources, timeout)
+
+    def _deliver(self) -> None:
+        """Hand each terminal result over exactly once: to ``on_result``
+        (outside the lock, before ``done`` is set; the service then
+        forgets the request) or, without one, to whichever ``result()``
+        call takes it first."""
+        with self._lock:
+            ready, self._outbox = self._outbox, []
+        for t in ready:
+            if self._on_result is not None:
+                try:
+                    self._on_result(t.result)
+                except Exception:  # pragma: no cover - observer must not kill us
+                    get_registry().counter("service.on_result_errors").inc()
+                with self._lock:
+                    if self._tracked.get(t.req.id) is t:
+                        del self._tracked[t.req.id]
+            t.done.set()
 
     #: Sliding window of the exported shed-rate gauge [s].
     _SHED_RATE_WINDOW_S = 5.0
 
     def _observe_pressure(self) -> None:
-        """One supervisor-tick heartbeat of the overload-control loops:
-        feed the degradation ladder its occupancy sample and refresh the
-        load-visibility gauges (in-flight, shed rate)."""
+        """One heartbeat (every ``poll_interval_s``) of the overload-control
+        loops: feed the degradation ladder its occupancy sample and
+        refresh the load-visibility gauges (in-flight, shed rate)."""
         reg = get_registry()
         with self._lock:
             inflight = self._inflight_locked()
@@ -538,6 +634,7 @@ class ScenarioService:
         reg.gauge("service.shed_rate").set(
             len(self._shed_times) / self._SHED_RATE_WINDOW_S
         )
+        self._quiet = outstanding == 0 and not self._shed_times
 
     def _set_depth_locked(self) -> None:
         get_registry().gauge("service.queue_depth").set(len(self._pending))
@@ -554,9 +651,10 @@ class ScenarioService:
         tier: int = 0,
         stage_s: "dict | None" = None,
     ) -> None:
-        """Record the single terminal state of a request.  Idempotent:
-        late results from a restarted worker are ignored."""
-        if t.done.is_set():
+        """Record the single terminal state of a request and queue it
+        for delivery.  Idempotent: late results from a restarted worker
+        are ignored."""
+        if t.result is not None:
             return
         now = time.monotonic()
         if self.limiter is not None and not self._closing:
@@ -583,31 +681,28 @@ class ScenarioService:
             tier=tier,
             stage_s=stage_s or {},
         )
-        self._results[t.req.id] = res
+        t.result = res
+        self._counts[status] += 1
+        self._outbox.append(t)
         get_registry().counter(f"service.terminal.{status}").inc()
-        t.done.set()
         # Terminal states free adaptive-admission headroom, not just
         # queue slots — wake any blocked submitters either way.
         self._space.notify_all()
-        if self._on_result is not None:
-            try:
-                self._on_result(res)
-            except Exception:  # pragma: no cover - observer must not kill us
-                get_registry().counter("service.on_result_errors").inc()
 
     def _drain_results(self) -> None:
-        for w in self._workers:
-            while True:
-                try:
-                    msg = w.res_q.get_nowait()
-                except Exception:
-                    break
-                with self._lock:
-                    t = w.busy
-                    if t is None or t.req.id != msg.get("id"):
-                        continue  # stale result from before a restart
-                    w.busy = None
-                    self._record_outcome(t, msg)
+        for i, w in enumerate(self._workers):
+            try:
+                while w.conn.poll():
+                    msg = w.conn.recv()
+                    with self._lock:
+                        t = w.busy
+                        if t is None or t.req.id != msg.get("id"):
+                            continue  # stale result from before a restart
+                        w.busy = None
+                        self._record_outcome(t, msg)
+            except (EOFError, OSError):
+                # EOF or a torn message: the worker died mid-request.
+                self._on_worker_crash(i, w)
 
     def _record_outcome(self, t: _Tracked, msg: dict) -> None:
         """Apply a worker's verdict: terminal state + breaker updates.
@@ -704,7 +799,7 @@ class ScenarioService:
         with self._lock:
             t = w.busy
             w.busy = None
-            if t is not None and not t.done.is_set():
+            if t is not None and t.result is None:
                 if t.req.kind in _PLANNED_KINDS and not w.degraded:
                     self.planner_breaker.release()
                 self.simulator_breaker.release()
@@ -746,8 +841,10 @@ class ScenarioService:
         self._replace_worker(i, w)
 
     def _replace_worker(self, i: int, w: _Worker) -> None:
+        if self._stop:
+            return  # shutting down: close() reaps the dead slot
         w.proc.join(timeout=5.0)
-        w.discard_queues()
+        w.conn.close()
         get_registry().counter("service.worker_restarts").inc()
         self._workers[i] = _Worker(w.wid, self._ctx)
 
@@ -826,4 +923,7 @@ class ScenarioService:
             with get_tracer().span(
                 "service.dispatch", cat="service", kind=t.req.kind, worker=w.wid
             ):
-                w.req_q.put(msg)
+                try:
+                    w.conn.send(msg)
+                except OSError:
+                    pass  # the worker just died: the crash path re-drives it

@@ -1,10 +1,10 @@
 """Worker-process entrypoint of the scenario service.
 
-Workers are spawned (never forked — the parent runs dispatcher /
-collector / watchdog threads, and forking a multi-threaded parent can
-clone a held lock into the child) and loop over a private depth-1
-dispatch queue: one message in flight per worker, so the parent always
-knows exactly which request dies with a crashed worker.
+Workers are spawned (never forked — the parent runs a supervisor
+thread, and forking a multi-threaded parent can clone a held lock into
+the child) and loop over a private duplex pipe: one message in flight
+per worker, so the parent always knows exactly which request dies with
+a crashed worker.
 
 The protocol is plain picklable dicts:
 
@@ -26,14 +26,13 @@ Fault injection (``inject`` on the request) happens here, before the
 scenario runs: ``crash`` hard-exits the process (``os._exit``) so the
 watchdog's restart + poison-quarantine path is exercised for real, and
 ``hang`` sleeps forever ignoring cooperative cancellation so the
-watchdog's deadline hard-kill path is.
+watchdog's deadline hard-kill path is.  A hung worker still exits once
+orphaned: a dead parent's watchdog will never kill it.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import time
 
 from repro.service.scenarios import StageError, execute_request
 from repro.util.cancel import cancel_scope
@@ -44,15 +43,20 @@ from repro.util.validation import ReproError, SimulationCancelled
 CRASH_EXIT_CODE = 23
 
 
-def _run_one(worker_id: int, msg: dict) -> dict:
+def _run_one(worker_id: int, msg: dict, conn, parent: int) -> dict:
     req = msg["req"]
     rid = req["id"]
     inject = req.get("inject")
     if inject == "crash":
         os._exit(CRASH_EXIT_CODE)
     if inject == "hang":
-        while True:  # ignores cancellation by design; watchdog kills us
-            time.sleep(0.05)
+        # Ignores cancellation by design: the watchdog kills us.  An
+        # orphan (ppid changed, or EOF on the pipe) exits instead, since
+        # no watchdog is left; so does one sent the shutdown sentinel,
+        # the only word a parent sends a busy worker.
+        while not conn.poll(0.05) and os.getppid() == parent:
+            pass
+        os._exit(0)
     tier = int(msg.get("tier", 0))
     out: dict = {
         "id": rid,
@@ -88,20 +92,22 @@ def _run_one(worker_id: int, msg: dict) -> dict:
     return out
 
 
-def worker_main(worker_id: int, req_q, res_q) -> None:
-    """Loop: take one dispatch, run it, report one result.  Exits on the
-    ``None`` sentinel — or when orphaned (the parent was SIGKILLed and
-    will never send one; without this check a killed ``repro batch``
-    would leave workers blocked on their queues forever).  Top-level so
-    it pickles under spawn."""
+def worker_main(worker_id: int, conn) -> None:
+    """Loop: take one dispatch, run it, report one result, all over the
+    worker's end of its pipe.  Exits on the ``None`` sentinel — or when
+    orphaned (the parent was SIGKILLed and will never send one; without
+    this check a killed ``repro batch`` would leave workers blocked on
+    their pipes forever).  Top-level so it pickles under spawn."""
     parent = os.getppid()
-    while True:
-        try:
-            msg = req_q.get(timeout=1.0)
-        except queue.Empty:
-            if os.getppid() != parent:
+    try:
+        while True:
+            if not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+                continue
+            msg = conn.recv()
+            if msg is None:
                 return
-            continue
-        if msg is None:
-            return
-        res_q.put(_run_one(worker_id, msg))
+            conn.send(_run_one(worker_id, msg, conn, parent))
+    except (EOFError, OSError):
+        return  # the parent closed its end: nobody is left to answer

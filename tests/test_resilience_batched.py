@@ -249,3 +249,27 @@ class TestSurfacedFallback:
         after = self._fallbacks()
         assert after[0] > before[0]
         assert after[2] > before[2]  # reason: non-exact
+
+
+class TestTracedBatchedRun:
+    def test_round_spans_survive_interleaved_generators(self):
+        # Regression: each scenario's generator held its transfer-round
+        # span on the tracer's stack across ``yield``, so the batched
+        # run exited them out of order and the tracer raised
+        # "span stack corrupted".
+        from repro.core.multipath import run_transfer_many
+        from repro.obs.trace import Tracer, use_tracer, validate_well_nested
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            outs = run_transfer_many(
+                mira_system(nnodes=128),
+                [[TransferSpec(0, 77, 4 * MiB)], [TransferSpec(5, 90, 4 * MiB)]],
+                traces=[None, None],
+            )
+        assert len(outs) == 2
+        assert tracer.current() is None  # nothing left on the stack
+        validate_well_nested(tracer.roots)
+        rounds = [s for s in tracer.iter_spans() if s.name == "transfer-round"]
+        assert len(rounds) == 2
+        assert all(s.t1 is not None and not s.children for s in rounds)
